@@ -71,7 +71,7 @@ func (cfg *BatchSweepConfig) logf(format string, args ...any) {
 // BatchCell reports one batch-size run of the RPC half: Reps fetches of the
 // same Files-file unit at one MaxBatch setting.
 type BatchCell struct {
-	MaxBatch    int           // client batch cap (1 = per-file OpFetch)
+	MaxBatch    int           // client batch cap (1 = one file per OpFetchBatch)
 	Files       int           // files per unit fetch
 	Reps        int           // unit fetches measured
 	Wall        time.Duration // wall time for all Reps fetches

@@ -317,6 +317,11 @@ func (w *rcWalk) transfer(n ast.Node, st dfState, record bool) {
 			w.scan(res, s, nil, true)
 		}
 		for _, res := range n.Results {
+			// Returning the pin, or an element of a pinned slice, hands
+			// it to the caller.
+			if ix, ok := ast.Unparen(res).(*ast.IndexExpr); ok {
+				res = ix.X
+			}
 			if pin := w.pinFor(s, res); pin != nil {
 				s.status[pin.site] = rcEscaped
 			}

@@ -141,3 +141,15 @@ func reusedErrClean(c *Client, path string) error {
 	}
 	return nil
 }
+
+func (c *Client) FetchFiles(paths []string) ([]*FilePayload, error) { return nil, nil }
+
+// unwrapOne is clean: returning the lone element of a fetched slice hands
+// the payload to the caller.
+func unwrapOne(c *Client, path string) (*FilePayload, error) {
+	fps, err := c.FetchFiles([]string{path})
+	if err != nil {
+		return nil, err
+	}
+	return fps[0], nil
+}

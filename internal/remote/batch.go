@@ -1,17 +1,14 @@
 package remote
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-	"time"
 )
 
-// Protocol v2.1: OpFetchBatch packs k (path, vars) fetches into one RPC and
-// the server answers with one multi-file RespOK frame, so a k-file unit
-// costs one round trip instead of k. The frame version byte stays 2 — a
-// v2.0 peer simply answers CodeBadRequest ("unknown op") and the client
-// degrades to per-file OpFetch, see Client.batchSupported.
+// OpFetchBatch is the protocol's one fetch op: it packs k (path, vars)
+// fetches into one RPC and the server answers with one multi-file RespOK
+// frame, so a k-file unit costs one round trip instead of k. A single fetch
+// is a batch of one.
 //
 // Request payload:
 //
@@ -27,8 +24,22 @@ import (
 //
 // Every ok item's body starts at an 8-byte payload offset, so the body's
 // internal alignment pads — computed against the body's own start when it
-// was encoded (and cached) as a single-file response — line up with the
-// whole frame's alignment and both sides keep aliasing array data in place.
+// was encoded (and cached) on its own — line up with the whole frame's
+// alignment and both sides keep aliasing array data in place.
+//
+// An item that fits the frame alone but not beside its batch mates answers
+// CodeUnavailable ("batch frame full"); the client re-fetches it once as a
+// batch of one. A lone item never answers frame-full: the server encodes
+// every item against maxItemBody, the budget a one-item frame leaves, so a
+// body over it fails permanently (ErrFrameTooLarge, CodeInternal) instead.
+
+// itemPreamble is the worst-case ok-item preamble: status byte, pad to 4,
+// u32 length, pad to 8.
+const itemPreamble = 15
+
+// maxItemBody is the largest item body a one-item frame can carry: the
+// frame budget less the u32 item count and the item preamble.
+const maxItemBody = maxFrame - 2 - 4 - itemPreamble
 
 // fetchReq is one decoded batch request item.
 type fetchReq struct {
@@ -82,14 +93,6 @@ func decodeBatchReq(body []byte) ([]fetchReq, error) {
 type batchResult struct {
 	fp  *FilePayload
 	err *ServerError
-}
-
-// alignTo zero-pads the payload under construction to the next n-byte
-// offset (n a power of two), mirroring dec.align.
-func (s *segEnc) alignTo(n int) {
-	for (s.base+len(s.e.b))%n != 0 {
-		s.e.b = append(s.e.b, 0)
-	}
 }
 
 // appendBatchItem appends one response item to the frame under
@@ -175,19 +178,15 @@ func fetchKey(path string, vars []string) string {
 	return path + "\x00" + strings.Join(vars, "\x00")
 }
 
-// batchSupported reports whether the server is believed to speak
-// OpFetchBatch. True until a batch RPC comes back CodeBadRequest — the
-// deterministic answer of a v2.0 server to an unknown op — after which
-// every fetch degrades to per-file OpFetch for the client's lifetime.
-func (c *Client) batchSupported() bool { return !c.noBatch.Load() }
-
 // FetchFiles fetches several snapshot files' payloads in one OpFetchBatch
 // round trip (chunked at MaxBatch files per RPC), returning payloads in
-// paths order. Each (path, vars) still coalesces with identical in-flight
-// fetches, shares the response frame's pooled arena with its batch mates,
-// and must be Recycled like a FetchFile result. Against a server without
-// batch support the call degrades to per-file OpFetch transparently. On
-// error every already-fetched payload is recycled and nil is returned.
+// paths order: every block with its mesh arrays plus the named variable
+// fields. Concurrent fetches of the same (path, vars) join a single RPC, so
+// a payload may be shared and must be treated as read-only. Its arrays
+// alias a pooled response frame shared with its batch mates: every caller
+// that got a payload should call its Recycle when done with it (and must
+// not touch it afterwards) so the buffer is reused. On error every
+// already-fetched payload is recycled and nil is returned.
 func (c *Client) FetchFiles(paths []string, vars []string) ([]*FilePayload, error) {
 	if len(paths) == 0 {
 		return nil, nil
@@ -214,8 +213,8 @@ func (c *Client) FetchFiles(paths []string, vars []string) ([]*FilePayload, erro
 		owned = append(owned, &batchItem{key: key, path: path, vars: vars, cl: cl})
 	}
 	c.mu.Unlock()
-	if len(owned) > 0 {
-		c.runBatch(owned)
+	for start := 0; start < len(owned); start += c.opts.MaxBatch {
+		c.fetchBatchChunk(owned[start:min(start+c.opts.MaxBatch, len(owned))])
 	}
 
 	out := make([]*FilePayload, len(paths))
@@ -241,65 +240,30 @@ func (c *Client) FetchFiles(paths []string, vars []string) ([]*FilePayload, erro
 	return out, nil
 }
 
-// runBatch completes every owned call, batching where the server allows it
-// and falling back to sequential per-file fetches where it does not.
-func (c *Client) runBatch(items []*batchItem) {
-	if !c.batchSupported() || c.opts.MaxBatch <= 1 || len(items) == 1 {
+// fetchBatchChunk issues one OpFetchBatch RPC for up to MaxBatch items and
+// completes their calls. An item answered "batch frame full" is re-fetched
+// once as a batch of one, whose answer is final, so re-fetches never loop.
+func (c *Client) fetchBatchChunk(items []*batchItem) {
+	body, buf, err := c.rpc(OpFetchBatch, encodeBatchReq(items))
+	var results []batchResult
+	var copied int64
+	if err == nil {
+		c.mu.Lock()
+		c.stats.BatchedRPCs++
+		c.mu.Unlock()
+		results, copied, err = decodeBatchItems(body)
+		if err == nil && len(results) != len(items) {
+			err = fmt.Errorf("%w: batch response has %d items, want %d", ErrProtocol, len(results), len(items))
+		}
+		if err != nil {
+			putFrameBuf(buf)
+		}
+	}
+	if err != nil {
 		for _, it := range items {
-			c.fetchOne(it)
+			c.complete(it, nil, nil, fmt.Errorf("remote: fetch %q: %w", it.path, err), 0)
 		}
 		return
-	}
-	max := c.opts.MaxBatch
-	for start := 0; start < len(items); start += max {
-		end := start + max
-		if end > len(items) {
-			end = len(items)
-		}
-		if !c.fetchBatchChunk(items[start:end]) {
-			// The server does not speak OpFetchBatch (or the client is
-			// closing): the chunk's calls were NOT completed — finish them
-			// and every later chunk per file.
-			for _, it := range items[start:] {
-				c.fetchOne(it)
-			}
-			return
-		}
-	}
-}
-
-// fetchBatchChunk issues one OpFetchBatch RPC for up to MaxBatch items and
-// completes their calls. It returns false — with the items' calls left
-// uncompleted — only when the server rejected the op as unknown, so the
-// caller can degrade to per-file fetches.
-func (c *Client) fetchBatchChunk(items []*batchItem) bool {
-	body, buf, err := c.rpc(OpFetchBatch, encodeBatchReq(items))
-	if err != nil {
-		var se *ServerError
-		if errors.As(err, &se) && se.Code == CodeBadRequest && c.batchSupported() {
-			// A v2.0 server answers an unknown op with CodeBadRequest; a
-			// v2.1 server never answers a well-formed batch frame with it.
-			c.noBatch.Store(true)
-			return false
-		}
-		for _, it := range items {
-			c.complete(it, nil, nil, fmt.Errorf("remote: fetch batch %q: %w", it.path, err), 0)
-		}
-		return true
-	}
-	c.mu.Lock()
-	c.stats.BatchedRPCs++
-	c.mu.Unlock()
-	results, copied, err := decodeBatchItems(body)
-	if err == nil && len(results) != len(items) {
-		err = fmt.Errorf("%w: batch response has %d items, want %d", ErrProtocol, len(results), len(items))
-	}
-	if err != nil {
-		putFrameBuf(buf)
-		for _, it := range items {
-			c.complete(it, nil, nil, fmt.Errorf("remote: fetch batch %q: %w", it.path, err), 0)
-		}
-		return true
 	}
 	arena := &frameArena{buf: buf}
 	nOK := 0
@@ -322,44 +286,13 @@ func (c *Client) fetchBatchChunk(items []*batchItem) bool {
 			r.fp.Path = it.path
 			c.complete(it, r.fp, arena, nil, perItemCopied)
 			perItemCopied = 0
-		case r.err != nil && r.err.Retryable():
-			// The server could not fit this item into the frame (or
-			// answered a transient condition): fetch it on its own, with
-			// the usual retry policy.
-			c.fetchOne(it)
+		case r.err.Retryable() && len(items) > 1:
+			// The item did not fit beside its batch mates: fetch it alone.
+			c.fetchBatchChunk(items[i : i+1])
 		default:
 			c.complete(it, nil, nil, fmt.Errorf("remote: fetch %q: %w", it.path, r.err), 0)
 		}
 	}
-	return true
-}
-
-// fetchOne performs one per-file OpFetch for an owned call and completes
-// it — the pre-batch fetch path, still used for single fetches, v2.0
-// servers and per-item batch fallbacks.
-func (c *Client) fetchOne(it *batchItem) {
-	body, buf, err := c.rpc(OpFetch, encodeFetchReq(it.path, it.vars))
-	var fp *FilePayload
-	var copied int64
-	if err == nil {
-		fp, copied, err = decodeFilePayload(body)
-		if fp != nil {
-			fp.Path = it.path
-		}
-		if err != nil {
-			putFrameBuf(buf)
-			buf = nil
-		}
-	}
-	if err != nil {
-		err = fmt.Errorf("remote: fetch %q: %w", it.path, err)
-	}
-	var arena *frameArena
-	if fp != nil && buf != nil {
-		arena = &frameArena{buf: buf}
-		arena.refs.Store(1)
-	}
-	c.complete(it, fp, arena, err, copied)
 }
 
 // complete publishes an owned call's result: the call leaves the
@@ -384,43 +317,4 @@ func (c *Client) complete(it *batchItem, fp *FilePayload, arena *frameArena, err
 	// happens-after this write. The mutex never guards these fields.
 	it.cl.fp, it.cl.err = fp, err
 	close(it.cl.done)
-}
-
-// enqueueWindowed adds an owned fetch to the batching window: distinct
-// in-flight fetches arriving within BatchWindow of each other coalesce
-// into one OpFetchBatch RPC. The first enqueuer becomes the window's
-// leader; it sleeps until the window closes (or the batch fills, or the
-// client closes) and then fires the batch for everyone. Callers wait on
-// their own call's done channel as usual.
-func (c *Client) enqueueWindowed(it *batchItem) {
-	c.mu.Lock()
-	c.pending = append(c.pending, it)
-	leader := len(c.pending) == 1
-	var flush chan struct{}
-	if leader {
-		c.flush = make(chan struct{})
-		flush = c.flush
-	} else if len(c.pending) >= c.opts.MaxBatch && c.flush != nil {
-		close(c.flush) // batch is full: wake the leader early
-		c.flush = nil
-	}
-	c.mu.Unlock()
-	if !leader {
-		return
-	}
-	timer := time.NewTimer(c.opts.BatchWindow)
-	select {
-	case <-timer.C:
-	case <-flush:
-	case <-c.done:
-		// Fall through and fire anyway: the RPC fails fast with
-		// ErrClientClosed and completes every pending call.
-	}
-	timer.Stop()
-	c.mu.Lock()
-	batch := c.pending
-	c.pending = nil
-	c.flush = nil
-	c.mu.Unlock()
-	c.runBatch(batch)
 }

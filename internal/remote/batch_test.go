@@ -64,7 +64,7 @@ func TestFetchFilesBatchedE2E(t *testing.T) {
 		t.Fatalf("want an 8-file set, got %d", len(paths))
 	}
 
-	// Reference payloads via the per-file path, on a separate client.
+	// Reference payloads one file per RPC, on a separate client.
 	ref := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
 	defer ref.Close()
 	want := make([]*remote.FilePayload, len(paths))
@@ -78,8 +78,9 @@ func TestFetchFilesBatchedE2E(t *testing.T) {
 	}
 	refRPCs := ref.Stats().RPCs
 	if refRPCs != int64(len(paths)) {
-		t.Fatalf("per-file path used %d RPCs, want %d", refRPCs, len(paths))
+		t.Fatalf("per-file fetches used %d RPCs, want %d", refRPCs, len(paths))
 	}
+	refBatches := srv.Stats().BatchRPCs
 
 	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
 	defer c.Close()
@@ -105,8 +106,8 @@ func TestFetchFilesBatchedE2E(t *testing.T) {
 		// 8 vs 1: comfortably past the 3x acceptance bar.
 		t.Fatalf("batching saved too little: %d vs %d RPCs", refRPCs, rs.RPCs)
 	}
-	if ss := srv.Stats(); ss.BatchRPCs != 1 {
-		t.Fatalf("server answered %d batch RPCs, want 1", ss.BatchRPCs)
+	if n := srv.Stats().BatchRPCs - refBatches; n != 1 {
+		t.Fatalf("server answered %d batch RPCs for the unit, want 1", n)
 	}
 }
 
@@ -127,66 +128,6 @@ func TestFetchFilesPartialFailure(t *testing.T) {
 	fp, err := c.FetchFile(good, testVars)
 	if err != nil {
 		t.Fatal(err)
-	}
-	fp.Recycle()
-}
-
-// Backward compatibility both ways: a batching client against a pre-batch
-// server degrades to per-file OpFetch without error, and a pre-batch
-// (FetchFile-only) client is untouched by a batch-capable server.
-func TestBatchCompatFallback(t *testing.T) {
-	spec := testSpec()
-	dir := writeDataset(t, spec)
-
-	// v2.1 client -> v2.0 server: DisableBatch answers OpFetchBatch exactly
-	// like an old server ("unknown op").
-	old, err := remote.Serve(remote.ServerOptions{Dir: dir, DisableBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	c := remote.NewClient(remote.ClientOptions{Addr: old.Addr()})
-	defer c.Close()
-	paths := allPaths(spec)
-	fps, err := c.FetchFiles(paths, testVars)
-	if err != nil {
-		t.Fatalf("FetchFiles against a pre-batch server: %v", err)
-	}
-	for i, fp := range fps {
-		if fp.Path != paths[i] || len(fp.Blocks) == 0 {
-			t.Fatalf("fallback payload %d bad: %q, %d blocks", i, fp.Path, len(fp.Blocks))
-		}
-		fp.Recycle()
-	}
-	rs := c.Stats()
-	if rs.BatchedRPCs != 0 {
-		t.Fatalf("BatchedRPCs = %d against a pre-batch server, want 0", rs.BatchedRPCs)
-	}
-	if rs.Errors != 0 {
-		t.Fatalf("fallback recorded %d errors, want 0", rs.Errors)
-	}
-	// One rejected probe plus one OpFetch per file; later batches skip the
-	// probe entirely.
-	if rs.RPCs != int64(1+len(paths)) {
-		t.Fatalf("fallback used %d RPCs, want %d", rs.RPCs, 1+len(paths))
-	}
-	fp, err := c.FetchFile(paths[0], testVars)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp.Recycle()
-
-	// v2.0 client -> v2.1 server: plain FetchFile against a batch-capable
-	// server is the wire path every pre-batch client uses.
-	srv := startServer(t, dir, remote.Faults{})
-	oldc := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
-	defer oldc.Close()
-	fp, err = oldc.FetchFile(paths[0], testVars)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fp.Blocks) == 0 {
-		t.Fatal("no blocks")
 	}
 	fp.Recycle()
 }
@@ -414,133 +355,79 @@ func TestConnPoolMaxAge(t *testing.T) {
 	}
 }
 
-// The pipelined read function must commit files strictly in resolver
-// order, batched or not.
+// The read function must commit files strictly in resolver order, whether
+// the unit is one RPC or several chunks. Across chunks it overlaps wire and
+// commit: while chunk 0 commits, chunk 1's fetch is already on the wire.
 func TestReadFuncCommitOrder(t *testing.T) {
 	spec := testSpec()
-	dir := writeDataset(t, spec)
+	srv := startServer(t, writeDataset(t, spec), remote.Faults{})
 
-	expected := func(addr string) []string {
-		c := remote.NewClient(remote.ClientOptions{Addr: addr})
-		defer c.Close()
-		var order []string
-		for _, p := range spec.SnapshotFiles("", 0) {
-			fp, err := c.FetchFile(p, testVars)
+	run := func(t *testing.T, maxBatch int, paths []string, wantRPCs int64) {
+		ref := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
+		defer ref.Close()
+		var want []string
+		for _, p := range paths {
+			fp, err := ref.FetchFile(p, testVars)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, bd := range fp.Blocks {
-				order = append(order, bd.Name)
+				want = append(want, bd.Name+"@"+bd.StepID)
 			}
 			fp.Recycle()
 		}
-		return order
-	}
 
-	run := func(t *testing.T, srv *remote.Server) {
-		want := expected(srv.Addr())
-		c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
+		c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr(), MaxBatch: maxBatch})
 		defer c.Close()
 		var mu sync.Mutex
 		var got []string
+		overlapped := false
 		record := func(u *core.Unit, bd *genx.BlockData) error {
 			mu.Lock()
-			got = append(got, bd.Name)
+			if got = append(got, bd.Name+"@"+bd.StepID); len(got) == 1 && wantRPCs > 1 {
+				// Committing chunk 0's first block: wait for chunk 1's RPC.
+				deadline := time.Now().Add(5 * time.Second)
+				for c.Stats().RPCs < 2 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				overlapped = c.Stats().RPCs >= 2
+			}
 			mu.Unlock()
 			return commitTestBlock(u, bd)
 		}
 		db := core.Open(core.Options{MemoryLimit: 256 << 20, BackgroundIO: true, IOWorkers: 2})
 		defer db.Close()
 		defineTestSchema(t, db)
-		read := remote.NewReadFunc(c, snapResolver(spec), testVars, record)
-		if err := db.AddUnit("snap_0000", read); err != nil {
+		resolve := func(string) ([]string, error) { return paths, nil }
+		if err := db.AddUnit("unit", remote.NewReadFunc(c, resolve, testVars, record)); err != nil {
 			t.Fatal(err)
 		}
-		if err := db.WaitUnit("snap_0000"); err != nil {
+		if err := db.WaitUnit("unit"); err != nil {
 			t.Fatal(err)
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if len(got) != len(want) {
-			t.Fatalf("committed %d blocks, want %d", len(got), len(want))
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("commit order broken\n got: %v\nwant: %v", got, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("commit %d = %s, want %s (order broken)\n got: %v\nwant: %v",
-					i, got[i], want[i], got, want)
-			}
+		if wantRPCs > 1 && !overlapped {
+			t.Fatal("fetch of chunk 1 did not overlap commit of chunk 0")
+		}
+		if rs := c.Stats(); rs.RPCs != wantRPCs || rs.BatchedRPCs != wantRPCs {
+			t.Fatalf("unit used %d RPCs (%d batched), want %d", rs.RPCs, rs.BatchedRPCs, wantRPCs)
 		}
 	}
 
 	t.Run("batched", func(t *testing.T) {
-		run(t, startServer(t, dir, remote.Faults{}))
+		run(t, 0, spec.SnapshotFiles("", 0), 1)
 	})
-	t.Run("fallback", func(t *testing.T) {
-		srv, err := remote.Serve(remote.ServerOptions{Dir: dir, DisableBatch: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		run(t, srv)
+	// 8 files at 3 per RPC: chunks of 3, 3 and 2.
+	t.Run("multichunk", func(t *testing.T) {
+		run(t, 3, allPaths(spec), 3)
 	})
-}
-
-// On the non-batch fallback path the read function still overlaps wire and
-// commit: while file i is committing, file i+1's fetch is already on the
-// wire.
-func TestReadFuncFallbackPrefetch(t *testing.T) {
-	spec := testSpec()
-	srv, err := remote.Serve(remote.ServerOptions{Dir: writeDataset(t, spec), DisableBatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c := remote.NewClient(remote.ClientOptions{Addr: srv.Addr()})
-	defer c.Close()
-
-	// Teach the client the server has no batch support, so the unit below
-	// runs the true per-file fallback (chunk size 1, one probe already spent).
-	fps, err := c.FetchFiles(spec.SnapshotFiles("", 1), testVars)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fp := range fps {
-		fp.Recycle()
-	}
-	base := c.Stats().RPCs
-
-	var once sync.Once
-	overlapped := make(chan bool, 1)
-	record := func(u *core.Unit, bd *genx.BlockData) error {
-		once.Do(func() {
-			// Committing file 0's first block: the fetcher should already
-			// be fetching file 1 (RPC base+2) while we are in here.
-			deadline := time.Now().Add(5 * time.Second)
-			for c.Stats().RPCs < base+2 {
-				if time.Now().After(deadline) {
-					overlapped <- false
-					return
-				}
-				time.Sleep(time.Millisecond)
-			}
-			overlapped <- true
-		})
-		return commitTestBlock(u, bd)
-	}
-
-	db := core.Open(core.Options{MemoryLimit: 256 << 20, BackgroundIO: true, IOWorkers: 1})
-	defer db.Close()
-	defineTestSchema(t, db)
-	read := remote.NewReadFunc(c, snapResolver(spec), testVars, record)
-	if err := db.AddUnit("snap_0000", read); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.WaitUnit("snap_0000"); err != nil {
-		t.Fatal(err)
-	}
-	if !<-overlapped {
-		t.Fatal("fetch of file 1 did not overlap commit of file 0")
-	}
+	t.Run("perfile", func(t *testing.T) {
+		run(t, 1, spec.SnapshotFiles("", 0), 2)
+	})
 }
 
 // FetchFiles on a closed client and with zero paths behaves.

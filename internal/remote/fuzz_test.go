@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -43,7 +44,7 @@ func FuzzFilePayload(f *testing.F) {
 }
 
 // FuzzBatchFrame feeds arbitrary bodies through the OpFetchBatch response
-// decoder — the multi-file frames a client accepts from a v2.1 server — and
+// decoder — the multi-file frames a client accepts from a server — and
 // round-trips whatever decodes: every ok item re-encodes through the same
 // segment encoder the server uses (cached segments included), every error
 // item must keep its code and message, and nothing may panic.
@@ -94,6 +95,37 @@ func FuzzBatchFrame(f *testing.F) {
 				t.Fatalf("round trip lost ok item %d", i)
 			}
 			samePayload(t, again[i].fp, results[i].fp)
+		}
+	})
+}
+
+// FuzzBatchReq feeds arbitrary bodies through the OpFetchBatch request
+// decoder — the only fetch request the server decodes from untrusted bytes
+// — and round-trips whatever decodes: the item count must respect the
+// 4-byte-per-item frame bound, the request must re-encode through
+// encodeBatchReq and decode to an equal request, and nothing may panic.
+func FuzzBatchReq(f *testing.F) {
+	for _, s := range batchReqSeedInputs() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		reqs, err := decodeBatchReq(b)
+		if err != nil {
+			return // rejected: the desired outcome for damaged frames
+		}
+		if len(reqs) > (len(b)-2)/4 {
+			t.Fatalf("decoded %d items from a %d-byte body, past the count bound", len(reqs), len(b))
+		}
+		items := make([]*batchItem, len(reqs))
+		for i, r := range reqs {
+			items[i] = &batchItem{path: r.path, vars: r.vars}
+		}
+		again, err := decodeBatchReq(encodeBatchReq(items))
+		if err != nil {
+			t.Fatalf("re-decoding a re-encoded request failed: %v", err)
+		}
+		if !reflect.DeepEqual(again, reqs) {
+			t.Fatalf("round trip changed the request: %q != %q", again, reqs)
 		}
 	})
 }
@@ -242,6 +274,28 @@ func batchSeedInputs() [][]byte {
 	return seeds
 }
 
+// batchReqSeedInputs seeds FuzzBatchReq: a valid 3-item request (one item
+// without variables), the empty batch, interesting truncations, and an
+// item-count mutation.
+func batchReqSeedInputs() [][]byte {
+	data := encodeBatchReq([]*batchItem{
+		{path: "genx_t0000_0.shdf", vars: []string{"velocity", "stress_avg"}},
+		{path: "genx_t0000_1.shdf"},
+		{path: "genx_t0001_0.shdf", vars: []string{"velocity"}},
+	})
+	seeds := [][]byte{data, encodeBatchReq(nil)}
+	for _, n := range []int{0, 1, 4, len(data) / 2, len(data) - 1} {
+		if n <= len(data) {
+			seeds = append(seeds, append([]byte(nil), data[:n]...))
+		}
+	}
+	// Wild item count: the u16 count is the request's first field.
+	mut := append([]byte(nil), data...)
+	mut[0], mut[1] = 0xFF, 0xFF
+	seeds = append(seeds, mut)
+	return seeds
+}
+
 // specSeedInputs seeds FuzzSpec with a valid encoding and truncations.
 func specSeedInputs() [][]byte {
 	data := encodeSpec(genx.Spec{Snapshots: 32, FilesPerSnapshot: 8, Blocks: 120, DT: 2.5e-5})
@@ -305,6 +359,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	for fuzz, seeds := range map[string][][]byte{
 		"FuzzFilePayload": payloadSeedInputs(),
 		"FuzzBatchFrame":  batchSeedInputs(),
+		"FuzzBatchReq":    batchReqSeedInputs(),
 		"FuzzSpec":        specSeedInputs(),
 		"FuzzSubSpec":     subSpecSeedInputs(),
 		"FuzzEventFrame":  eventSeedInputs(),

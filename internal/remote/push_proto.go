@@ -3,8 +3,8 @@ package remote
 // Wire codecs for the push data plane: OpSubscribe requests (a push.Spec
 // match rule plus delivery options), OpEvent frames (one push.Event; an
 // empty body is a heartbeat), and OpIngest requests (a path string followed
-// by the same FilePayload body OpFetch responses use, so ingested bytes go
-// through one codec in both directions).
+// by the same FilePayload body OpFetchBatch items carry, so ingested bytes
+// go through one codec in both directions).
 
 import (
 	"fmt"

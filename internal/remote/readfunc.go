@@ -20,10 +20,10 @@ type Resolver func(unit string) ([]string, error)
 // response buffer that NewReadFunc recycles once the file is committed.
 type CommitFunc func(u *core.Unit, bd *genx.BlockData) error
 
-// fetched is one file's payload (or fetch error) traveling from the
+// fetched is one chunk's payloads (or fetch error) traveling from the
 // fetcher to the committer, in paths order.
 type fetched struct {
-	fp  *FilePayload
+	fps []*FilePayload
 	err error
 }
 
@@ -35,47 +35,44 @@ type fetched struct {
 // exhaustion land the unit in the failed state exactly like a local read
 // error, and N workers asking for the same file share one RPC.
 //
-// Multi-file units are pipelined: a fetcher goroutine stays one step ahead
-// of the commit loop, so the wire time of file i+1 overlaps committing
-// file i. Against a batch-capable server the fetcher pulls MaxBatch files
-// per OpFetchBatch RPC; against a v2.0 server it prefetches file by file.
-// Either way files are committed strictly in paths order.
+// A unit of up to MaxBatch files is one OpFetchBatch RPC, committed inline.
+// Larger units are pipelined: a fetcher goroutine stays one MaxBatch chunk
+// ahead of the commit loop, so the wire time of chunk i+1 overlaps
+// committing chunk i. Files are committed strictly in paths order.
 func NewReadFunc(c *Client, resolve Resolver, vars []string, commit CommitFunc) core.ReadFunc {
 	return func(u *core.Unit) error {
 		paths, err := resolve(u.Name())
 		if err != nil {
 			return err
 		}
-		if len(paths) <= 1 {
-			// Nothing to overlap: fetch and commit inline.
-			for _, path := range paths {
-				if err := fetchCommit(c, path, vars, u, commit); err != nil {
-					return err
-				}
+		chunk := c.opts.MaxBatch
+		if len(paths) <= chunk {
+			// One RPC: nothing to overlap.
+			fps, err := c.FetchFiles(paths, vars)
+			if err != nil {
+				return err
 			}
-			return nil
+			return commitPayloads(u, fps, commit)
 		}
 
-		// The channel is the pipeline: buffered one chunk deep, FIFO, so
-		// the committer drains payloads in exactly the order the fetcher
-		// queued them (= paths order) while the fetcher works ahead.
-		out := make(chan fetched, c.opts.MaxBatch)
+		// The unbuffered channel is the pipeline: the fetcher hands over
+		// chunk i, then fetches chunk i+1 while chunk i commits. Chunks
+		// arrive in paths order.
+		out := make(chan fetched)
 		stop := make(chan struct{})
 		go func() {
 			defer close(out)
-			for start := 0; start < len(paths); {
-				chunk := 1
-				if c.batchSupported() && c.opts.MaxBatch > 1 {
-					chunk = c.opts.MaxBatch
+			for start := 0; start < len(paths); start += chunk {
+				fps, err := c.FetchFiles(paths[start:min(start+chunk, len(paths))], vars)
+				select {
+				case out <- fetched{fps: fps, err: err}:
+				case <-stop:
+					recycleAll(fps) // committer bailed
+					return
 				}
-				end := start + chunk
-				if end > len(paths) {
-					end = len(paths)
+				if err != nil {
+					return
 				}
-				if !c.sendChunk(paths[start:end], vars, out, stop) {
-					return // committer bailed; undelivered payloads recycled
-				}
-				start = end
 			}
 		}()
 		defer func() {
@@ -83,21 +80,15 @@ func NewReadFunc(c *Client, resolve Resolver, vars []string, commit CommitFunc) 
 			// Drain until the fetcher closes out, so it never blocks on a
 			// send nobody receives; recycle whatever it had in flight.
 			for f := range out {
-				if f.fp != nil {
-					f.fp.Recycle()
-				}
+				recycleAll(f.fps)
 			}
 		}()
 
-		for range paths {
-			f, ok := <-out
-			if !ok {
-				return fmt.Errorf("remote: fetch pipeline ended early")
-			}
+		for f := range out {
 			if f.err != nil {
 				return f.err
 			}
-			if err := commitPayload(u, f.fp, commit); err != nil {
+			if err := commitPayloads(u, f.fps, commit); err != nil {
 				return err
 			}
 		}
@@ -105,61 +96,27 @@ func NewReadFunc(c *Client, resolve Resolver, vars []string, commit CommitFunc) 
 	}
 }
 
-// sendChunk fetches one chunk of paths (one batched RPC when the chunk is
-// larger than 1) and queues the results in order. It reports false — after
-// recycling every undelivered payload — when the committer has stopped
-// receiving.
-func (c *Client) sendChunk(paths []string, vars []string, out chan<- fetched, stop <-chan struct{}) bool {
-	var results []fetched
-	if len(paths) == 1 {
-		fp, err := c.FetchFile(paths[0], vars)
-		results = []fetched{{fp: fp, err: err}}
-	} else {
-		fps, err := c.FetchFiles(paths, vars)
-		if err != nil {
-			results = []fetched{{err: err}}
-		} else {
-			results = make([]fetched, len(fps))
-			for i, fp := range fps {
-				results[i] = fetched{fp: fp}
+// commitPayloads commits every block of every payload in order, recycling
+// each payload once committed (committed buffers are copies, so the
+// backing frame can go back to the pool for the next fetch). On error the
+// remaining payloads are recycled uncommitted.
+func commitPayloads(u *core.Unit, fps []*FilePayload, commit CommitFunc) error {
+	for i, fp := range fps {
+		for _, bd := range fp.Blocks {
+			if err := commit(u, bd); err != nil {
+				err = fmt.Errorf("remote: commit %s block %s: %w", fp.Path, bd.Name, err)
+				recycleAll(fps[i:])
+				return err
 			}
 		}
+		fp.Recycle()
 	}
-	for i, f := range results {
-		select {
-		case out <- f:
-		case <-stop:
-			for _, g := range results[i:] {
-				if g.fp != nil {
-					g.fp.Recycle()
-				}
-			}
-			return false
-		}
-	}
-	return true
-}
-
-// fetchCommit is the unpipelined path: fetch one file, commit its blocks,
-// recycle the payload.
-func fetchCommit(c *Client, path string, vars []string, u *core.Unit, commit CommitFunc) error {
-	fp, err := c.FetchFile(path, vars)
-	if err != nil {
-		return err
-	}
-	return commitPayload(u, fp, commit)
-}
-
-// commitPayload commits every block of one payload and recycles it.
-// Committed buffers are copies; the payload's backing frame can go back to
-// the pool for the next fetch.
-func commitPayload(u *core.Unit, fp *FilePayload, commit CommitFunc) error {
-	for _, bd := range fp.Blocks {
-		if err := commit(u, bd); err != nil {
-			fp.Recycle()
-			return fmt.Errorf("remote: commit %s block %s: %w", fp.Path, bd.Name, err)
-		}
-	}
-	fp.Recycle()
 	return nil
+}
+
+// recycleAll recycles every payload of a chunk.
+func recycleAll(fps []*FilePayload) {
+	for _, fp := range fps {
+		fp.Recycle()
+	}
 }

@@ -36,15 +36,12 @@ type ServerOptions struct {
 	// every later fetcher of the same hot file. 0 means the 64 MiB
 	// default; negative disables the cache.
 	PayloadCache int64
-	// DisableBatch makes the server answer OpFetchBatch like a pre-batch
-	// (v2.0) server would — CodeBadRequest, unknown op — so client
-	// fallback paths are testable end to end.
-	DisableBatch bool
 	// IdleTimeout disconnects clients idle longer than this (default 5m).
 	IdleTimeout time.Duration
 	// Ingest accepts OpIngest requests: producers may push new snapshot
 	// files into Dir, and the server starts even when Dir is empty or
-	// missing (it is created). Off by default — a fetch-only server never
+	// missing (it is created). Temp files a crashed ingest left in Dir are
+	// removed at startup. Off by default — a fetch-only server never
 	// writes its dataset.
 	Ingest bool
 	// Heartbeat is the idle interval between keep-alive frames on
@@ -56,10 +53,12 @@ type ServerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Faults injects failures into a configurable fraction of OpFetch responses
-// so client retry behavior is testable deterministically: decisions come
-// from a private rand.Rand seeded with Seed. Fractions are cumulative —
-// DropFrac 0.05 + ErrFrac 0.05 faults 10% of responses.
+// Faults injects failures into a configurable fraction of OpFetchBatch
+// responses so client retry behavior is testable deterministically:
+// decisions come from a private rand.Rand seeded with Seed. Other ops are
+// never faulted, except that StallFrac stalls subscription events.
+// Fractions are cumulative — DropFrac 0.05 + ErrFrac 0.05 faults 10% of
+// responses.
 type Faults struct {
 	Seed      int64         // RNG seed (0 means 1, for determinism)
 	DropFrac  float64       // sever the connection mid-payload
@@ -71,7 +70,7 @@ type Faults struct {
 
 func (f Faults) enabled() bool { return f.DropFrac > 0 || f.ErrFrac > 0 || f.DelayFrac > 0 }
 
-// Fault actions drawn per OpFetch response.
+// Fault actions drawn per OpFetchBatch response.
 const (
 	faultNone = iota
 	faultDrop
@@ -150,6 +149,12 @@ func Serve(opts ServerOptions) (*Server, error) {
 	if opts.Ingest {
 		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("remote: serve %s: %w", opts.Dir, err)
+		}
+		// Sweep temp files an interrupted ingest left behind. Best effort:
+		// Discover never reads them, so one that survives is only clutter.
+		stale, _ := filepath.Glob(filepath.Join(opts.Dir, "*"+ingestTempSuffix))
+		for _, path := range stale {
+			os.Remove(path)
 		}
 	}
 	spec, err := genx.Discover(opts.Dir)
@@ -323,7 +328,7 @@ func (s *Server) handleConn(conn net.Conn) {
 
 		// Fault injection on the data path only, so health checks and spec
 		// discovery stay reliable.
-		if op == OpFetch || op == OpFetchBatch {
+		if op == OpFetchBatch {
 			switch action, delay := s.faultAction(); action {
 			case faultDrop:
 				// Sever mid-payload: the header promises the full response,
@@ -429,26 +434,7 @@ func (s *Server) handleRequest(op byte, body []byte) (rop byte, segs [][]byte, d
 			return countErr(errCode(err), err.Error())
 		}
 		return RespOK, nil, nil
-	case OpFetch:
-		path, vars, err := decodeFetchReq(body)
-		if err != nil {
-			return countErr(CodeBadRequest, err.Error())
-		}
-		segs, _, copied, release, err := s.serveFile(path, vars)
-		if err != nil {
-			s.logf("remote: fetch %s: %v", path, err)
-			return countErr(errCode(err), err.Error())
-		}
-		s.mu.Lock()
-		s.stats.BytesCopied += copied
-		s.mu.Unlock()
-		return RespOK, segs, release
 	case OpFetchBatch:
-		if s.opts.DisableBatch {
-			// Answer exactly like a pre-batch server: unknown op. Clients
-			// key their fallback on this.
-			return countErr(CodeBadRequest, fmt.Sprintf("unknown op %#02x", op))
-		}
 		reqs, err := decodeBatchReq(body)
 		if err != nil || len(reqs) == 0 {
 			if err == nil {
@@ -507,7 +493,7 @@ func (s *Server) serveFile(path string, vars []string) (segs [][]byte, size int,
 	if err != nil {
 		return nil, 0, 0, nil, err
 	}
-	segs, copied, err = encodeFilePayloadSegments(fp, maxFrame-2)
+	segs, copied, err = encodeFilePayloadSegments(fp, maxItemBody)
 	if err != nil {
 		release()
 		return nil, 0, 0, nil, err
@@ -527,8 +513,9 @@ func (s *Server) serveFile(path string, vars []string) (segs [][]byte, size int,
 // through serveFile (so hot files hit the payload cache) and appended to a
 // single multi-file response frame. Items fail independently — a missing
 // file yields an error item, not an error frame — and an item that would
-// overflow the frame cap is answered CodeUnavailable so the client fetches
-// it on its own.
+// overflow the frame cap beside its batch mates is answered CodeUnavailable
+// so the client fetches it on its own. The first item always fits: bodies
+// are capped at maxItemBody.
 func (s *Server) serveBatch(reqs []fetchReq) (byte, [][]byte, func()) {
 	var out segEnc
 	out.e.u32(uint32(len(reqs)))
@@ -542,9 +529,7 @@ func (s *Server) serveBatch(reqs []fetchReq) (byte, [][]byte, func()) {
 			out.appendBatchItem(nil, 0, &ServerError{Code: errCode(err), Msg: err.Error()})
 			continue
 		}
-		// Worst-case item preamble: status byte, pad to 4, u32 length,
-		// pad to 8 — 15 bytes.
-		if out.base+len(out.e.b)+15+size > maxFrame-2 {
+		if out.base+len(out.e.b)+itemPreamble+size > maxFrame-2 {
 			done()
 			out.appendBatchItem(nil, 0, &ServerError{Code: CodeUnavailable, Msg: "batch frame full"})
 			continue
@@ -569,8 +554,8 @@ func (s *Server) serveBatch(reqs []fetchReq) (byte, [][]byte, func()) {
 // success the returned done func releases the cache entry: the payload's
 // arrays may alias the open reader's mmap'd payloads, so the entry stays
 // pinned (unevictable, its mapping intact) until the caller has finished
-// with the payload — for OpFetch, until the response frame has been
-// written to the socket.
+// with the payload — until the response frame has been written to the
+// socket.
 func (s *Server) fetch(path string, vars []string) (fp *FilePayload, done func(), err error) {
 	if path == "" || !filepath.IsLocal(path) || !strings.HasSuffix(path, ".shdf") {
 		return nil, nil, &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf("bad path %q", path)}
@@ -604,11 +589,17 @@ func (s *Server) fetch(path string, vars []string) (fp *FilePayload, done func()
 	return fp, func() { s.cache.release(ent) }, nil
 }
 
+// ingestTempSuffix ends the name of every in-progress ingest's temp file.
+// genx.Discover only looks at canonical snapshot names, so it never sees
+// one; Serve sweeps leftovers from a crash.
+const ingestTempSuffix = ".ingest"
+
 // ingest validates and lands one pushed snapshot file, then publishes the
 // arrival to the subscription registry. The payload goes through the same
-// shdf writer path WriteDataset uses (into a temp file, renamed into place,
-// so a crashed producer never leaves a torn snapshot visible), the served
-// spec grows to cover the new step, and any cached reader for an
+// shdf writer path WriteDataset uses, into a temp file unique to this
+// ingest that is then renamed into place, so neither a crashed producer nor
+// a concurrent ingest of the same path leaves a torn snapshot visible. The
+// served spec grows to cover the new step, and any cached reader for an
 // overwritten path is invalidated. Publish blocks while a lossless (Block)
 // subscriber's queue is full — that backpressure is the point: the
 // producer's RespOK is withheld until every lossless consumer has room.
@@ -618,8 +609,19 @@ func (s *Server) ingest(path string, fp *FilePayload) error {
 		return &ServerError{Code: CodeBadRequest, Msg: fmt.Sprintf("bad ingest path %q", path)}
 	}
 	dst := filepath.Join(s.opts.Dir, path)
-	tmp := dst + ".ingest"
-	if err := genx.WriteBlockDataFile(tmp, fp.Time, step, fp.StepID, fp.Blocks); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".*"+ingestTempSuffix)
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	// CreateTemp makes the file owner-only; served snapshots get the mode
+	// generated ones have.
+	err = f.Chmod(0o644)
+	f.Close()
+	if err == nil {
+		err = genx.WriteBlockDataFile(tmp, fp.Time, step, fp.StepID, fp.Blocks)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -668,7 +670,7 @@ func (s *Server) ingest(path string, fp *FilePayload) error {
 	s.stats.Ingests++
 	s.mu.Unlock()
 
-	_, err := s.reg.Publish(push.Event{
+	_, err = s.reg.Publish(push.Event{
 		Step:   step,
 		File:   file,
 		Path:   path,

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -11,6 +12,19 @@ import (
 	"godiva/internal/mesh"
 	"godiva/internal/zerocopy"
 )
+
+// decodeFilePayload parses one standalone FilePayload body, the unit
+// OpFetchBatch items and OpIngest requests embed. When body sits 8-byte
+// aligned in memory the block arrays alias it in place; copied reports the
+// array bytes that were copied out instead.
+func decodeFilePayload(body []byte) (fp *FilePayload, copied int64, err error) {
+	d := dec{b: body}
+	fp = d.filePayload()
+	if d.err != nil {
+		return nil, 0, fmt.Errorf("%w: file payload: %v", ErrProtocol, d.err)
+	}
+	return fp, d.copied, nil
+}
 
 // samplePayload builds a small two-block payload with every array kind
 // populated, usable without a testing.T (the fuzz seed corpus reuses it).

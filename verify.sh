@@ -25,7 +25,8 @@
 #               reporting nonzero allocs/op is an allocation regression on
 #               the zero-alloc query path and fails the gate
 #   race-core   race-detector pass over the concurrent core
-#   race-remote race-detector pass over the remote unit service
+#   race-remote race-detector pass over the remote unit service, including
+#               the seeded same-path ingest stress test
 #   race-platform race-detector pass over the virtual-machine model
 #   invariants  core suite with the godivainvariants runtime checker
 #               compiled in, under the race detector
@@ -39,6 +40,9 @@
 #               VERIFY_BATCHTIME, default 10s)
 #   fuzz        FuzzReader smoke over the shdf seed corpus (duration from
 #               VERIFY_FUZZTIME, default 10s)
+#   fuzz-batchreq FuzzBatchReq smoke over the OpFetchBatch request decoder,
+#               the server's only fetch-request decoder (same
+#               VERIFY_FUZZTIME)
 #
 # Each stage prints a one-line summary; the script stops at the first
 # failing stage and exits non-zero. Run a single stage with
@@ -156,11 +160,12 @@ run_stage invariants go test -tags godivainvariants -race -count=1 ./internal/co
 run_stage push env PUSH_STRESS_TIME="${VERIFY_PUSHTIME:-10s}" go test -race -count=1 -run '^TestSubscriptionStress$' ./internal/push
 run_stage batch env BATCH_CHURN_TIME="${VERIFY_BATCHTIME:-10s}" go test -race -count=1 -run '^TestPayloadCacheChurn$' ./internal/remote
 run_stage fuzz go test -fuzz=FuzzReader -fuzztime="${VERIFY_FUZZTIME:-10s}" -run '^FuzzReader$' ./internal/shdf
+run_stage fuzz-batchreq go test -fuzz=FuzzBatchReq -fuzztime="${VERIFY_FUZZTIME:-10s}" -run '^FuzzBatchReq$' ./internal/remote
 
 if [ -n "$only_stage" ]; then
     if [ "$stage_seen" -eq 0 ]; then
         echo "verify.sh: unknown stage \"$only_stage\"" >&2
-        echo "stages: fmt vet build lint dataflow racecheck test benchmem race-core race-remote race-platform invariants push batch fuzz" >&2
+        echo "stages: fmt vet build lint dataflow racecheck test benchmem race-core race-remote race-platform invariants push batch fuzz fuzz-batchreq" >&2
         exit 2
     fi
     echo "verify.sh: stage $only_stage passed"
