@@ -82,6 +82,7 @@ var (
 	ErrNotCommitted      = core.ErrNotCommitted
 	ErrCommitted         = core.ErrCommitted
 	ErrNotFound          = core.ErrNotFound
+	ErrRecordDropped     = core.ErrRecordDropped
 	ErrNoBuffer          = core.ErrNoBuffer
 	ErrKeyCount          = core.ErrKeyCount
 	ErrTypeMismatch      = core.ErrTypeMismatch

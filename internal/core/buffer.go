@@ -13,6 +13,11 @@ import (
 // buffer contents (except for key fields at commit time); application code
 // obtains the buffer once via a query and then reads or writes the slice
 // directly, exactly as it would a plain array.
+//
+// The database owns a buffer's memory: once the buffer's record is deleted,
+// evicted with its unit or replaced, the memory is reused for a later read
+// (see DESIGN.md, "Buffer recycling"). A Buffer and the slices it returns
+// must not outlive the pin on their unit (FinishUnit or DeleteUnit ends it).
 type Buffer struct {
 	dtype DataType
 	size  int // bytes
@@ -30,22 +35,34 @@ type Buffer struct {
 	// them — and alias memory (e.g. an mmap'd file) whose validity the donor
 	// ties to the owning unit's lifetime.
 	borrowed bool
+
+	// freePrev and freeNext link the buffer into its database's free list
+	// while it waits for reuse (freelist.go). Guarded by db.mu.
+	freePrev, freeNext *Buffer
 }
 
-func newBuffer(t DataType, size int) (*Buffer, error) {
+// checkBufferSize reports whether size bytes is a valid buffer of type t.
+func checkBufferSize(t DataType, size int) error {
 	if size < 0 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadSize, size)
+		return fmt.Errorf("%w: %d bytes", ErrBadSize, size)
 	}
 	es := t.ElemSize()
 	if es == 0 {
-		return nil, fmt.Errorf("%w: %v", ErrTypeMismatch, t)
+		return fmt.Errorf("%w: %v", ErrTypeMismatch, t)
 	}
 	if size%es != 0 {
-		return nil, fmt.Errorf("%w: %d bytes is not a multiple of %v element size %d",
+		return fmt.Errorf("%w: %d bytes is not a multiple of %v element size %d",
 			ErrBadSize, size, t, es)
 	}
+	return nil
+}
+
+func newBuffer(t DataType, size int) (*Buffer, error) {
+	if err := checkBufferSize(t, size); err != nil {
+		return nil, err
+	}
 	b := &Buffer{dtype: t, size: size}
-	n := size / es
+	n := size / t.ElemSize()
 	switch t {
 	case String, Bytes:
 		b.raw = make([]byte, n)

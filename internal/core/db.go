@@ -85,6 +85,10 @@ type DB struct {
 	// current read completes and need no signal. Guarded by mu.
 	idleWorkers []chan struct{}
 
+	// free holds released field buffers for reuse by the next read
+	// (freelist.go). Its bytes are not charged in mem. Guarded by mu.
+	free freeList
+
 	mem    int64 // bytes charged; guarded by mu
 	limit  int64 // guarded by mu
 	closed bool  // guarded by mu
@@ -140,8 +144,8 @@ func Open(opts Options) *DB {
 }
 
 // Close stops the background I/O workers, deletes all units and records,
-// and marks the database closed. Goroutines blocked in WaitUnit are woken
-// with ErrClosed.
+// empties the buffer free list and marks the database closed. Goroutines
+// blocked in WaitUnit are woken with ErrClosed.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if db.closed {
@@ -172,12 +176,14 @@ func (db *DB) Close() error {
 		db.dropRecordLocked(r)
 	}
 	db.resident = map[*Record]struct{}{}
+	db.trimFreeLocked() // closed: the bound is zero
 	return nil
 }
 
 // SetMemSpace adjusts the database memory limit at run time (paper §3.2).
 // Lowering the limit evicts finished units until the new limit is met or
-// nothing more can be evicted; raising it wakes any blocked readers.
+// nothing more can be evicted, and trims the buffer free list to the room
+// left under it; raising it wakes any blocked readers.
 func (db *DB) SetMemSpace(bytes int64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -188,6 +194,7 @@ func (db *DB) SetMemSpace(bytes int64) {
 			break
 		}
 	}
+	db.trimFreeLocked()
 	// A raised limit can let blocked reservers proceed even though no bytes
 	// were released; a lowered one changes the hopeless-allocation bound.
 	db.wakeMemWaitersLocked()
@@ -455,11 +462,7 @@ func (db *DB) dropUnitLocked(u *unit) {
 	db.recordEventLocked(u, u.state, stateDeleted)
 	db.unqueueLocked(u)
 	db.lru.removeLocked(u)
-	for _, r := range u.records {
-		db.dropRecordLocked(r)
-	}
-	u.records = nil
-	u.memory = 0
+	db.dropUnitRecordsLocked(u)
 	u.state = stateDeleted
 	// Run the unit's release hooks now that no buffer references its donated
 	// memory. They run under db.mu by contract (Unit.OnRelease): prompt,
@@ -475,6 +478,18 @@ func (db *DB) dropUnitLocked(u *unit) {
 	// idle-workers-with-queued-units clause — so blocked reservers must
 	// re-run the detector even when releaseLocked had nothing to wake.
 	db.wakeMemWaitersLocked()
+}
+
+// dropUnitRecordsLocked drops every record of u, releasing their memory and
+// offering their buffers to the free list, whose size bound follows the
+// largest unit released so far. Caller holds db.mu (write).
+func (db *DB) dropUnitRecordsLocked(u *unit) {
+	db.free.maxUnit = max(db.free.maxUnit, u.memory)
+	for _, r := range u.records {
+		db.dropRecordLocked(r)
+	}
+	u.records = nil
+	u.memory = 0
 }
 
 // getRecordRLocked answers a key-lookup query. Caller holds db.mu (read or
@@ -533,11 +548,14 @@ func (db *DB) GetRecord(recType string, keys ...any) (*Record, error) {
 // GetFieldBuffer answers the paper's key-lookup query: it returns the data
 // buffer of the named field in the record of the given type identified by
 // the key values. The visualization code then accesses the buffer directly,
-// as if it were a user-allocated array.
+// as if it were a user-allocated array — but only while the record's unit
+// is pinned: once the unit is deleted or evicted, the buffer's memory is
+// reused for a later read, so the buffer and its slices must not outlive
+// the pin.
 func (db *DB) GetFieldBuffer(recType, field string, keys ...any) (*Buffer, error) {
 	db.mu.RLock()
+	defer db.mu.RUnlock()
 	r, err := db.getRecordRLocked(recType, keys)
-	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}

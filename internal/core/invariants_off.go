@@ -17,3 +17,5 @@ func (db *DB) checkInvariantsLocked(string) {}
 func (db *DB) checkTransitionLocked(*unit, unitState, unitState) {}
 
 func checkStatsSnapshot(*Stats) {}
+
+func poisonBuffer(*Buffer) {}

@@ -2,7 +2,10 @@
 
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Runtime invariant checking, compiled in only under the godivainvariants
 // build tag (see DESIGN.md, "Static analysis & invariants"). Every check
@@ -149,6 +152,104 @@ func (db *DB) checkInvariantsLocked(where string) {
 	if db.ioReading > db.ioWorkers {
 		invariantViolation(where, "ioReading=%d exceeds pool size %d", db.ioReading, db.ioWorkers)
 	}
+
+	db.checkFreeListLocked(where)
+}
+
+// checkFreeListLocked audits the buffer free list: its links and key index
+// agree, its byte count is the sum of its entries and within the size bound,
+// no entry is borrowed, and no entry is still reachable from a live record.
+// It allocates nothing, so allocation-counting tests run under the tag too.
+// Caller holds db.mu (write).
+func (db *DB) checkFreeListLocked(where string) {
+	l := &db.free
+	n := 0
+	var bytes int64
+	var prev *Buffer
+	for b := l.head; b != nil; b = b.freeNext {
+		if n++; n > l.n {
+			invariantViolation(where, "free list longer than its count %d (cycle?)", l.n)
+		}
+		if b.freePrev != prev {
+			invariantViolation(where, "free buffer has a broken back-link")
+		}
+		if b.borrowed {
+			invariantViolation(where, "free list holds a borrowed buffer")
+		}
+		bytes += int64(b.size)
+		prev = b
+	}
+	if n != l.n || l.tail != prev {
+		invariantViolation(where, "free list count %d but %d buffers linked", l.n, n)
+	}
+	if bytes != l.bytes {
+		invariantViolation(where, "free list counts %d bytes but its entries sum to %d", l.bytes, bytes)
+	}
+	if bound := db.freeSizeBoundLocked(); bytes > bound {
+		invariantViolation(where, "free list holds %d bytes, over its bound of %d", bytes, bound)
+	}
+	indexed := 0
+	for k, s := range l.byKey {
+		for _, b := range s {
+			if !l.holdsLocked(b) || k != (freeKey{b.dtype, b.size}) {
+				invariantViolation(where, "free list key %v indexes a buffer it does not hold", k)
+			}
+		}
+		indexed += len(s)
+	}
+	if indexed != l.n {
+		invariantViolation(where, "free list indexes %d buffers but holds %d", indexed, l.n)
+	}
+	if l.n == 0 {
+		return
+	}
+	for _, u := range db.units {
+		for _, r := range u.records {
+			for _, b := range r.buffers {
+				if l.holdsLocked(b) {
+					invariantViolation(where, "free buffer still reachable from a record of unit %q", u.name)
+				}
+			}
+		}
+	}
+	for r := range db.resident {
+		for _, b := range r.buffers {
+			if l.holdsLocked(b) {
+				invariantViolation(where, "free buffer still reachable from a resident record of type %q", r.rt.name)
+			}
+		}
+	}
+}
+
+// holdsLocked reports whether b is on the list: the head, or linked —
+// unlinking clears both links. Caller holds db.mu.
+func (l *freeList) holdsLocked(b *Buffer) bool {
+	return b != nil && (b == l.head || b.freePrev != nil || b.freeNext != nil)
+}
+
+// poisonBuffer fills a released buffer with NaN bit patterns, so a reader
+// that kept a slice past its unit's release reads garbage that shows,
+// instead of plausible stale or recycled data. Caller holds db.mu (write).
+func poisonBuffer(b *Buffer) {
+	const (
+		nan32 = 0x7fc0_dead           // a quiet float32 NaN
+		nan64 = 0x7ff8_0000_0000_dead // a quiet float64 NaN
+	)
+	for i := range b.raw {
+		b.raw[i] = 0xff
+	}
+	for i := range b.i32 {
+		b.i32[i] = nan32
+	}
+	for i := range b.i64 {
+		b.i64[i] = nan64
+	}
+	for i := range b.f32 {
+		b.f32[i] = math.Float32frombits(nan32)
+	}
+	for i := range b.f64 {
+		b.f64[i] = math.Float64frombits(nan64)
+	}
 }
 
 // legalTransitions is the unit life-cycle table (paper §3.2 plus the
@@ -188,6 +289,8 @@ func checkStatsSnapshot(s *Stats) {
 	checkCounter("Deadlocks", s.Deadlocks)
 	checkCounter("BytesLoaded", s.BytesLoaded)
 	checkCounter("BytesBorrowed", s.BytesBorrowed)
+	checkCounter("BuffersReused", s.BuffersReused)
+	checkCounter("BytesReused", s.BytesReused)
 	checkCounter("PeakBytes", s.PeakBytes)
 	checkCounter("EventsDropped", s.EventsDropped)
 	checkCounter("VisibleWait", int64(s.VisibleWait))

@@ -139,8 +139,6 @@ func (db *DB) acquireUnitLocked(u *unit, inline bool) error {
 				db.mu.Unlock()
 				db.runRead(u)
 				db.mu.Lock()
-				db.inlineReading--
-				u.inline = false
 				continue
 			}
 			db.waitStateLocked(u)
@@ -200,10 +198,11 @@ func (db *DB) waitStateLocked(u *unit) {
 }
 
 // runRead executes a unit's read function outside the lock and finalizes the
-// unit's state. It reports whether the unit became ready — false when the
-// read failed or the unit was deleted mid-read. The caller must have set
-// u.state = stateReading under db.mu and released the lock.
-func (db *DB) runRead(u *unit) bool {
+// unit's state, which it returns: stateReady, stateFailed, or stateDeleted
+// when the unit was deleted mid-read. The caller must have set u.state =
+// stateReading and counted the read (ioReading or inlineReading) under
+// db.mu, and released the lock; runRead takes the count back.
+func (db *DB) runRead(u *unit) unitState {
 	start := time.Now()
 	//lint:ignore lockcheck u.read is published under db.mu before the unit
 	// enters stateReading, and this goroutine owns the unit until the read
@@ -213,23 +212,28 @@ func (db *DB) runRead(u *unit) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	defer db.checkInvariantsLocked("runRead")
+	// The read is over: stop counting it before the wake-up below. A
+	// reserver woken while the count still included this reader would see
+	// progress that no longer exists and wait for a wake-up that never
+	// comes (the §3.3 verdict must be re-run against the true counts).
+	if u.inline {
+		db.inlineReading--
+		u.inline = false
+	} else {
+		db.ioReading--
+		ws := &db.workers[u.worker]
+		ws.reading.Store(false)
+		ws.unit = ""
+	}
 	if err == nil {
 		err = u.allocFailed
 	}
 	if u.state == stateDeleted {
 		// Deleted while being read: drop whatever the read created.
-		for _, r := range u.records {
-			db.dropRecordLocked(r)
-		}
-		u.records = nil
-		u.memory = 0
+		db.dropUnitRecordsLocked(u)
 		db.notifyUnitLocked(u)
 	} else if err != nil {
-		for _, r := range u.records {
-			db.dropRecordLocked(r)
-		}
-		u.records = nil
-		u.memory = 0
+		db.dropUnitRecordsLocked(u)
 		u.err = err
 		db.setStateLocked(u, stateFailed)
 		db.stats.unitsFailed.Add(1)
@@ -238,12 +242,15 @@ func (db *DB) runRead(u *unit) bool {
 		db.stats.unitsRead.Add(1)
 		db.stats.bytesLoaded.Add(u.memory)
 	}
+	// The last read coming ends the free list's demand: hand what it still
+	// holds to the GC instead of keeping it until the next release.
+	db.trimFreeLocked()
 	// A read ending removes a progressing reader, which can flip the §3.3
 	// verdict for allocations that chose to wait because this read was still
 	// running (progressLocked): wake them to re-run the detector. A
 	// successful read frees no memory, so releaseLocked cannot cover this.
 	db.wakeMemWaitersLocked()
-	return u.state == stateReady
+	return u.state
 }
 
 // FinishUnit tells the database that one consumer has completed processing
@@ -362,20 +369,14 @@ func (db *DB) ioLoop(id int) {
 		ws.reading.Store(true)
 		ws.unit = u.name
 		db.mu.Unlock()
-		ok := db.runRead(u)
-		db.mu.Lock()
-		db.ioReading--
-		ws.reading.Store(false)
-		ws.unit = ""
-		failed := u.state == stateFailed
-		db.mu.Unlock()
-		if ok {
+		st := db.runRead(u)
+		if st == stateReady {
 			// Only successful background reads count: UnitsPrefetched must
 			// stay a subset of UnitsRead even when the read fails or the
 			// unit is deleted mid-read.
 			db.stats.unitsPrefetched.Add(1)
 			ws.prefetched.Add(1)
-		} else if failed {
+		} else if st == stateFailed {
 			ws.failed.Add(1)
 		}
 	}

@@ -31,8 +31,10 @@ type Record struct {
 }
 
 // newRecordLocked creates a record of the given committed type, allocating
-// buffers for every field with a known declared size. Caller holds db.mu;
-// the call may drop and reacquire the lock while waiting for memory.
+// buffers for every field with a known declared size — recycled ones when
+// the free list has a match. Declared sizes are small (keys, scalars), so a
+// recycled fixed-size buffer is cleared here, under the lock. Caller holds
+// db.mu; the call may drop and reacquire the lock while waiting for memory.
 func (db *DB) newRecordLocked(recType string, owner *unit) (*Record, error) {
 	if db.closed {
 		return nil, ErrClosed
@@ -51,7 +53,8 @@ func (db *DB) newRecordLocked(recType string, owner *unit) (*Record, error) {
 			need += int64(ft.size)
 		}
 	}
-	if err := db.reserveLocked(need, owner); err != nil {
+	err := db.reserveLocked(need, owner)
+	if err != nil {
 		return nil, err
 	}
 	r.memory = need
@@ -59,13 +62,16 @@ func (db *DB) newRecordLocked(recType string, owner *unit) (*Record, error) {
 		if ft.size == Unknown {
 			continue
 		}
-		buf, err := newBuffer(ft.dtype, ft.size)
-		if err != nil {
+		buf := db.takeFreeLocked(ft.dtype, ft.size)
+		if buf != nil {
+			buf.zero()
+		} else if buf, err = newBuffer(ft.dtype, ft.size); err != nil {
 			db.releaseLocked(r.memory)
 			return nil, fmt.Errorf("field %q: %w", ft.name, err)
 		}
 		r.buffers[i] = buf
 	}
+	db.trimFreeLocked()
 	if owner != nil {
 		owner.records = append(owner.records, r)
 		owner.memory += need
@@ -93,45 +99,93 @@ func (r *Record) Type() string { return r.rt.name }
 // AllocFieldBuffer allocates the data buffer of a field whose size was
 // declared Unknown (or replaces an existing buffer), with the given size in
 // bytes. This is how array buffers are sized once the meta data describing
-// them has been read (paper §3.1).
+// them has been read (paper §3.1). The buffer reads as zeros. Its memory may
+// be a released buffer of an earlier unit, and is reused in turn once this
+// record's unit is deleted or evicted: slices taken from it must not outlive
+// the pin on the unit.
 func (r *Record) AllocFieldBuffer(field string, size int) (*Buffer, error) {
 	db := r.db
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	defer db.checkInvariantsLocked("AllocFieldBuffer")
+	buf, reused, err := r.allocFieldBufferLocked(field, size)
+	db.checkInvariantsLocked("AllocFieldBuffer")
+	db.mu.Unlock()
+	if reused {
+		// Off the free list, the buffer belongs to whoever fills this
+		// record (records are not synchronized; see Record), so the clear
+		// needs no lock.
+		buf.zero()
+	}
+	return buf, err
+}
+
+// allocFieldBufferLocked is AllocFieldBuffer under db.mu (write). reused
+// reports that buf came off the free list and still holds stale bytes.
+func (r *Record) allocFieldBufferLocked(field string, size int) (buf *Buffer, reused bool, err error) {
+	db := r.db
 	if db.closed {
-		return nil, ErrClosed
+		return nil, false, ErrClosed
+	}
+	if r.buffers == nil {
+		return nil, false, r.errDropped()
 	}
 	pos, ok := r.rt.fieldPos[field]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q in record type %q", ErrUnknownField, field, r.rt.name)
+		return nil, false, fmt.Errorf("%w: %q in record type %q", ErrUnknownField, field, r.rt.name)
 	}
 	if r.commit && r.isKeyField(pos) {
-		return nil, fmt.Errorf("%w: cannot reallocate key field %q of a committed record",
+		return nil, false, fmt.Errorf("%w: cannot reallocate key field %q of a committed record",
 			ErrCommitted, field)
 	}
-	buf, err := newBuffer(r.rt.fields[pos].dtype, size)
-	if err != nil {
-		return nil, fmt.Errorf("field %q: %w", field, err)
+	dtype := r.rt.fields[pos].dtype
+	if err := checkBufferSize(dtype, size); err != nil {
+		return nil, false, fmt.Errorf("field %q: %w", field, err)
 	}
+	need, err := r.resizeLocked(pos, size)
+	if err != nil {
+		return nil, false, err
+	}
+	// Taken only once the reservation holds: while it waited, the lock was
+	// down and the match stayed available to other readers.
+	buf = db.takeFreeLocked(dtype, size)
+	reused = buf != nil
+	if !reused {
+		buf, _ = newBuffer(dtype, size) // size checked above
+	}
+	r.installLocked(pos, buf, need)
+	return buf, reused, nil
+}
+
+// resizeLocked charges (or refunds) the change of field pos's buffer to size
+// bytes and returns the change. Caller holds db.mu (write); the lock may be
+// dropped while waiting for memory.
+func (r *Record) resizeLocked(pos, size int) (int64, error) {
 	old := int64(0)
-	if r.buffers[pos] != nil {
-		old = int64(r.buffers[pos].size)
+	if b := r.buffers[pos]; b != nil {
+		old = int64(b.size)
 	}
 	need := int64(size) - old
 	if need > 0 {
-		if err := db.reserveLocked(need, r.unit); err != nil {
-			return nil, err
+		if err := r.db.reserveLocked(need, r.unit); err != nil {
+			return 0, err
 		}
 	} else {
-		db.releaseLocked(-need)
+		r.db.releaseLocked(-need)
 	}
+	return need, nil
+}
+
+// installLocked makes buf field pos's buffer, recycles the buffer it
+// replaces and books the size change need. Caller holds db.mu (write).
+func (r *Record) installLocked(pos int, buf *Buffer, need int64) {
+	db := r.db
+	db.recycleLocked(r.buffers[pos])
 	r.buffers[pos] = buf
 	r.memory += need
 	if r.unit != nil {
 		r.unit.memory += need
 	}
-	return buf, nil
+	// A reservation grew mem: keep free plus charged bytes under the limit.
+	db.trimFreeLocked()
 }
 
 // BorrowFieldBuffer installs donated bytes as the named field's buffer
@@ -155,6 +209,9 @@ func (r *Record) BorrowFieldBuffer(field string, data []byte) (*Buffer, error) {
 	if db.closed {
 		return nil, ErrClosed
 	}
+	if r.buffers == nil {
+		return nil, r.errDropped()
+	}
 	if r.unit == nil {
 		return nil, fmt.Errorf("%w: resident records cannot borrow field memory", ErrBorrowed)
 	}
@@ -170,21 +227,11 @@ func (r *Record) BorrowFieldBuffer(field string, data []byte) (*Buffer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("field %q: %w", field, err)
 	}
-	old := int64(0)
-	if r.buffers[pos] != nil {
-		old = int64(r.buffers[pos].size)
+	need, err := r.resizeLocked(pos, buf.size)
+	if err != nil {
+		return nil, err
 	}
-	need := int64(buf.size) - old
-	if need > 0 {
-		if err := db.reserveLocked(need, r.unit); err != nil {
-			return nil, err
-		}
-	} else {
-		db.releaseLocked(-need)
-	}
-	r.buffers[pos] = buf
-	r.memory += need
-	r.unit.memory += need
+	r.installLocked(pos, buf, need)
 	if aliased {
 		db.stats.bytesBorrowed.Add(int64(buf.size))
 	}
@@ -201,9 +248,21 @@ func (r *Record) isKeyField(pos int) bool {
 	return false
 }
 
+// errDropped is the error of an accessor called on a record that has left
+// the database: deleted, evicted with its unit, replaced by a duplicate-key
+// commit, or swept by Close. Its buffers are gone and may already hold
+// another unit's data.
+func (r *Record) errDropped() error {
+	return fmt.Errorf("%w: record of type %q", ErrRecordDropped, r.rt.name)
+}
+
 // FieldBuffer returns the data buffer of the named field, or ErrNoBuffer if
-// it has not been allocated yet.
+// it has not been allocated yet, or ErrRecordDropped once the record has
+// left the database.
 func (r *Record) FieldBuffer(field string) (*Buffer, error) {
+	if r.buffers == nil {
+		return nil, r.errDropped()
+	}
 	pos, ok := r.rt.fieldPos[field]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q in record type %q", ErrUnknownField, field, r.rt.name)
@@ -240,13 +299,16 @@ func (db *DB) CommitRecord(r *Record) error {
 	if r.commit {
 		return fmt.Errorf("%w: record of type %q", ErrCommitted, r.rt.name)
 	}
+	if r.buffers == nil {
+		return r.errDropped()
+	}
 	key, err := r.rt.keyFor(r)
 	if err != nil {
 		return err
 	}
 	idx := db.indexForLocked(r.rt.name)
 	if prev, ok := idx.Get(key); ok {
-		db.dropRecordLocked(prev)
+		db.deleteRecordLocked(prev)
 	}
 	idx.Set(key, r)
 	r.key = key
@@ -266,24 +328,34 @@ func (db *DB) DeleteRecord(r *Record) error {
 	if db.closed {
 		return ErrClosed
 	}
+	if r.buffers == nil {
+		return r.errDropped()
+	}
+	db.deleteRecordLocked(r)
+	return nil
+}
+
+// deleteRecordLocked drops r and removes it from its owner: the owning
+// unit's record list and charge, or the resident set. Caller holds db.mu
+// (write).
+func (db *DB) deleteRecordLocked(r *Record) {
 	mem := r.memory
 	db.dropRecordLocked(r)
 	if r.unit == nil {
 		delete(db.resident, r)
-	} else {
-		for i, ur := range r.unit.records {
-			if ur == r {
-				r.unit.records = append(r.unit.records[:i], r.unit.records[i+1:]...)
-				break
-			}
-		}
-		r.unit.memory -= mem
+		return
 	}
-	return nil
+	for i, ur := range r.unit.records {
+		if ur == r {
+			r.unit.records = append(r.unit.records[:i], r.unit.records[i+1:]...)
+			break
+		}
+	}
+	r.unit.memory -= mem
 }
 
-// dropRecordLocked removes a record from its type index and releases its
-// memory charge. Caller holds db.mu.
+// dropRecordLocked removes a record from its type index, releases its
+// memory charge and offers its buffers to the free list. Caller holds db.mu.
 func (db *DB) dropRecordLocked(r *Record) {
 	if r.commit {
 		if idx, ok := db.indexes[r.rt.name]; ok {
@@ -293,5 +365,8 @@ func (db *DB) dropRecordLocked(r *Record) {
 	}
 	db.releaseLocked(r.memory)
 	r.memory = 0
+	for _, b := range r.buffers {
+		db.recycleLocked(b)
+	}
 	r.buffers = nil
 }

@@ -170,6 +170,51 @@ func TestCommitCollisionReplaces(t *testing.T) {
 	}
 }
 
+// A colliding commit inside a read function replaces a record of the same
+// unit: the unit's charge must drop with it, so Units() agrees with MemUsed
+// and the unit holds one record.
+func TestCommitCollisionInUnitKeepsUnitCharge(t *testing.T) {
+	db := newTestDB(t, Options{})
+	defineFluidSchema(t, db)
+	err := db.ReadUnit("u1", func(u *Unit) error {
+		for i := 0; i < 2; i++ {
+			r, err := u.NewRecord("fluid")
+			if err != nil {
+				return err
+			}
+			if err := r.SetString("block id", "b1"); err != nil {
+				return err
+			}
+			if err := r.SetString("time-step id", "s1"); err != nil {
+				return err
+			}
+			if _, err := r.AllocFieldBuffer("pressure", 64); err != nil {
+				return err
+			}
+			if err := u.DB().CommitRecord(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := db.Units()
+	if len(units) != 1 {
+		t.Fatalf("Units() = %v, want one unit", units)
+	}
+	if used := db.MemUsed(); units[0].Bytes != used {
+		t.Errorf("unit charges %d bytes, database %d", units[0].Bytes, used)
+	}
+	if err := db.DeleteUnit("u1"); err != nil {
+		t.Fatal(err)
+	}
+	if used := db.MemUsed(); used != 0 {
+		t.Errorf("MemUsed = %d after deleting the unit", used)
+	}
+}
+
 func TestDeleteRecord(t *testing.T) {
 	db := newTestDB(t, Options{})
 	defineFluidSchema(t, db)
@@ -421,6 +466,89 @@ func TestEachRecordOrderAndCount(t *testing.T) {
 	for i := 1; i < len(ids); i++ {
 		if ids[i-1] >= ids[i] {
 			t.Fatalf("records out of key order: %v", ids)
+		}
+	}
+}
+
+// Every accessor of a record that has left the database — deleted, evicted
+// with its unit, replaced by a duplicate-key commit — returns
+// ErrRecordDropped (an ErrNotFound) instead of indexing its released
+// buffers.
+func TestDroppedRecordAccessors(t *testing.T) {
+	drops := map[string]func(t *testing.T, db *DB) *Record{
+		"DeleteRecord": func(t *testing.T, db *DB) *Record {
+			r := makeFluidRecord(t, db, "b1", "s1")
+			if err := db.DeleteRecord(r); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		},
+		"duplicate-key commit": func(t *testing.T, db *DB) *Record {
+			r := makeFluidRecord(t, db, "b1", "s1")
+			makeFluidRecord(t, db, "b1", "s1")
+			return r
+		},
+		"unit evicted": func(t *testing.T, db *DB) *Record {
+			var r *Record
+			err := db.ReadUnit("u1", func(u *Unit) error {
+				var err error
+				if r, err = u.NewRecord("fluid"); err != nil {
+					return err
+				}
+				if err := r.SetString("block id", "b1"); err != nil {
+					return err
+				}
+				if err := r.SetString("time-step id", "s1"); err != nil {
+					return err
+				}
+				return u.DB().CommitRecord(r)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.FinishUnit("u1"); err != nil {
+				t.Fatal(err)
+			}
+			db.SetMemSpace(1) // evicts u1
+			if _, ok := db.UnitState("u1"); ok {
+				t.Fatal("u1 not evicted")
+			}
+			db.SetMemSpace(DefaultMemoryLimit)
+			return r
+		},
+	}
+	accessors := map[string]func(db *DB, r *Record) error{
+		"FieldBuffer": func(_ *DB, r *Record) error {
+			_, err := r.FieldBuffer("pressure")
+			return err
+		},
+		"SetString": func(_ *DB, r *Record) error { return r.SetString("block id", "b2") },
+		"AllocFieldBuffer": func(_ *DB, r *Record) error {
+			_, err := r.AllocFieldBuffer("pressure", 64)
+			return err
+		},
+		"BorrowFieldBuffer": func(_ *DB, r *Record) error {
+			_, err := r.BorrowFieldBuffer("pressure", make([]byte, 64))
+			return err
+		},
+		"CommitRecord": func(db *DB, r *Record) error { return db.CommitRecord(r) },
+		"DeleteRecord": func(db *DB, r *Record) error { return db.DeleteRecord(r) },
+	}
+	for dname, drop := range drops {
+		for aname, access := range accessors {
+			t.Run(dname+"/"+aname, func(t *testing.T) {
+				db := newTestDB(t, Options{})
+				defineFluidSchema(t, db)
+				r := drop(t, db)
+				mem := db.MemUsed()
+				err := access(db, r)
+				if !errors.Is(err, ErrRecordDropped) || !errors.Is(err, ErrNotFound) {
+					t.Fatalf("%s on a record dropped by %s: %v, want ErrRecordDropped (an ErrNotFound)", aname, dname, err)
+				}
+				if got := db.MemUsed(); got != mem {
+					t.Errorf("%s on a dropped record moved the memory charge %d -> %d", aname, mem, got)
+				}
+			})
 		}
 	}
 }

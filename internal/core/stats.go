@@ -22,6 +22,8 @@ type Stats struct {
 	Deadlocks        int64
 	BytesLoaded      int64 // cumulative unit payload bytes brought in
 	BytesBorrowed    int64 // subset of BytesLoaded adopted zero-copy (donated slices)
+	BuffersReused    int64 // field buffers handed out from the free list instead of allocated
+	BytesReused      int64 // bytes of those buffers
 	PeakBytes        int64 // high-water memory charge
 	EventsDropped    int64 // trace-log events discarded by the maxEvents cap
 	VisibleWait      time.Duration
@@ -44,6 +46,8 @@ type statsCounters struct {
 	deadlocks        atomic.Int64
 	bytesLoaded      atomic.Int64
 	bytesBorrowed    atomic.Int64
+	buffersReused    atomic.Int64
+	bytesReused      atomic.Int64
 	peakBytes        atomic.Int64
 	eventsDropped    atomic.Int64
 	visibleWaitNanos atomic.Int64
@@ -85,6 +89,8 @@ func (db *DB) Stats() Stats {
 	s.Deadlocks = c.deadlocks.Load()
 	s.BytesBorrowed = c.bytesBorrowed.Load()
 	s.BytesLoaded = c.bytesLoaded.Load()
+	s.BuffersReused = c.buffersReused.Load()
+	s.BytesReused = c.bytesReused.Load()
 	s.PeakBytes = c.peakBytes.Load()
 	s.EventsDropped = c.eventsDropped.Load()
 	s.VisibleWait = time.Duration(c.visibleWaitNanos.Load())

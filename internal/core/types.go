@@ -106,6 +106,10 @@ var (
 	ErrCommitted = errors.New("godiva: already committed")
 	// ErrNotFound is returned by key queries with no matching record.
 	ErrNotFound = errors.New("godiva: record not found")
+	// ErrRecordDropped is returned by the accessors of a record that has
+	// left the database — deleted, evicted with its unit, replaced by a
+	// duplicate-key commit, or swept by Close. It wraps ErrNotFound.
+	ErrRecordDropped = fmt.Errorf("%w: record was deleted, evicted or replaced", ErrNotFound)
 	// ErrNoBuffer is returned when accessing a field whose buffer has not
 	// been allocated.
 	ErrNoBuffer = errors.New("godiva: field buffer not allocated")

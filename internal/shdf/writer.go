@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"godiva/internal/zerocopy"
 )
 
 // Writer writes an SHDF file sequentially: objects first, directory and
@@ -84,7 +86,9 @@ func (w *Writer) alignForSDS() error {
 	return nil
 }
 
-func (w *Writer) addObject(tag Tag, name string, p *payload) (Ref, error) {
+// addObject writes one object whose payload is head followed by body (body
+// may be nil) and records it in the directory.
+func (w *Writer) addObject(tag Tag, name string, head, body []byte) (Ref, error) {
 	if w.done {
 		return 0, ErrWriterDone
 	}
@@ -93,20 +97,23 @@ func (w *Writer) addObject(tag Tag, name string, p *payload) (Ref, error) {
 	}
 	ref := w.nextRef
 	w.nextRef++
-	crc := crc32.ChecksumIEEE(p.buf)
-	if _, err := w.w.Write(p.buf); err != nil {
-		w.err = err
-		return 0, err
+	crc := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, body)
+	for _, b := range [2][]byte{head, body} {
+		if _, err := w.w.Write(b); err != nil {
+			w.err = err
+			return 0, err
+		}
 	}
+	n := uint64(len(head) + len(body))
 	w.dir = append(w.dir, dirEntry{
 		tag:    tag,
 		ref:    ref,
 		offset: w.offset,
-		length: uint64(len(p.buf)),
+		length: n,
 		crc:    crc,
 		name:   name,
 	})
-	w.offset += uint64(len(p.buf))
+	w.offset += n
 	return ref, nil
 }
 
@@ -121,22 +128,29 @@ func (w *Writer) WriteSDS(name string, dims []int, data any) (Ref, error) {
 		}
 		n *= d
 	}
+	// The array is written as its little-endian byte view, in place; only a
+	// big-endian host encodes it, once, into a buffer of the exact size.
 	var (
 		nt    NumType
 		count int
+		body  []byte
+		ok    bool
 	)
-	p := &payload{}
 	switch v := data.(type) {
 	case []uint8:
-		nt, count = TypeUint8, len(v)
+		nt, count, body, ok = TypeUint8, len(v), v, true
 	case []int32:
 		nt, count = TypeInt32, len(v)
+		body, ok = zerocopy.BytesOfI32s(v)
 	case []int64:
 		nt, count = TypeInt64, len(v)
+		body, ok = zerocopy.BytesOfI64s(v)
 	case []float32:
 		nt, count = TypeFloat32, len(v)
+		body, ok = zerocopy.BytesOfF32s(v)
 	case []float64:
 		nt, count = TypeFloat64, len(v)
+		body, ok = zerocopy.BytesOfF64s(v)
 	default:
 		return 0, fmt.Errorf("%w: %T", ErrBadType, data)
 	}
@@ -150,32 +164,43 @@ func (w *Writer) WriteSDS(name string, dims []int, data any) (Ref, error) {
 	if err := w.alignForSDS(); err != nil {
 		return 0, err
 	}
+	if !ok {
+		body = encodeLE(data, count*nt.Size())
+	}
+	p := &payload{buf: make([]byte, 0, 4+8*len(dims))}
 	p.u16(uint16(nt))
 	p.u16(uint16(len(dims)))
 	for _, d := range dims {
 		p.u64(uint64(d))
 	}
+	return w.addObject(TagSDS, name, p.buf, body)
+}
+
+// encodeLE encodes a numeric array of size bytes in little-endian order, the
+// file's byte order, for hosts where the in-memory bytes are not already.
+func encodeLE(data any, size int) []byte {
+	b := make([]byte, 0, size)
 	switch v := data.(type) {
 	case []uint8:
-		p.buf = append(p.buf, v...)
+		b = append(b, v...)
 	case []int32:
 		for _, x := range v {
-			p.u32(uint32(x))
+			b = binary.LittleEndian.AppendUint32(b, uint32(x))
 		}
 	case []int64:
 		for _, x := range v {
-			p.u64(uint64(x))
+			b = binary.LittleEndian.AppendUint64(b, uint64(x))
 		}
 	case []float32:
 		for _, x := range v {
-			p.u32(math.Float32bits(x))
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
 		}
 	case []float64:
 		for _, x := range v {
-			p.u64(math.Float64bits(x))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 		}
 	}
-	return w.addObject(TagSDS, name, p)
+	return b
 }
 
 // WriteAttr writes a named attribute. value must be a string, int64,
@@ -202,7 +227,7 @@ func (w *Writer) WriteAttr(name string, value any) (Ref, error) {
 	default:
 		return 0, fmt.Errorf("%w: attribute %T", ErrBadType, value)
 	}
-	return w.addObject(TagAttr, name, p)
+	return w.addObject(TagAttr, name, p.buf, nil)
 }
 
 // WriteVGroup writes a named group whose members are previously written
@@ -213,7 +238,7 @@ func (w *Writer) WriteVGroup(name string, members []Ref) (Ref, error) {
 	for _, m := range members {
 		p.u32(uint32(m))
 	}
-	return w.addObject(TagVGroup, name, p)
+	return w.addObject(TagVGroup, name, p.buf, nil)
 }
 
 // Close writes the directory and footer, flushes, and closes the underlying

@@ -28,8 +28,11 @@
 #   race-remote race-detector pass over the remote unit service, including
 #               the seeded same-path ingest stress test
 #   race-platform race-detector pass over the virtual-machine model
-#   invariants  core suite with the godivainvariants runtime checker
-#               compiled in, under the race detector
+#   invariants  core, rocketeer and remote suites with the godivainvariants
+#               runtime checker compiled in, under the race detector; the
+#               checker poisons every released field buffer, so the
+#               rocketeer image and remote round-trip tests fail on any
+#               read of a buffer past its unit's release (recycled memory)
 #   push        subscription stress under the race detector: producers,
 #               mixed-policy subscribers and subscribe/unsubscribe churn
 #               against one registry (duration from VERIFY_PUSHTIME,
@@ -156,7 +159,7 @@ run_stage benchmem check_benchmem
 run_stage race-core go test -race -count=1 ./internal/core/...
 run_stage race-remote go test -race -count=1 ./internal/remote/...
 run_stage race-platform go test -race -count=1 ./internal/platform/...
-run_stage invariants go test -tags godivainvariants -race -count=1 ./internal/core/...
+run_stage invariants go test -tags godivainvariants -race -count=1 ./internal/core/... ./internal/rocketeer/... ./internal/remote/...
 run_stage push env PUSH_STRESS_TIME="${VERIFY_PUSHTIME:-10s}" go test -race -count=1 -run '^TestSubscriptionStress$' ./internal/push
 run_stage batch env BATCH_CHURN_TIME="${VERIFY_BATCHTIME:-10s}" go test -race -count=1 -run '^TestPayloadCacheChurn$' ./internal/remote
 run_stage fuzz go test -fuzz=FuzzReader -fuzztime="${VERIFY_FUZZTIME:-10s}" -run '^FuzzReader$' ./internal/shdf
